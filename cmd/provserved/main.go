@@ -9,7 +9,7 @@
 //	           [-timing-log FILE]
 //
 // The API is versioned under /v1; the unversioned routes of earlier
-// releases still answer identically but carry a Deprecation header:
+// releases are gone:
 //
 //	GET    /v1/specs                          list specifications
 //	GET    /v1/specs/{spec}/runs              list runs
@@ -40,7 +40,10 @@
 // batch. -ingest-queue bounds the backlog (past it clients get 429),
 // -ingest-batch caps runs per commit, and -ingest-maxwait adds an
 // optional linger window for batching under bursty async load (0
-// commits as soon as the queue drains).
+// commits as soon as the queue drains). The pipeline commits through
+// the store's one write path, which -demo seeding and provstore use
+// too: every stored run gets its XML, segment frame, ledger leaf and
+// fsync at write time.
 //
 // -backend selects the storage engine (a local directory tree, an
 // in-memory store for ephemeral demos, or a content-addressed

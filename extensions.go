@@ -201,7 +201,7 @@ const (
 // save/load/diff/cohort it carries the snapshot layer (Preload,
 // PreloadAll, Snapshot — cold starts decode binary frames instead of
 // re-parsing XML) and streaming bulk I/O (ImportRuns, ImportDir,
-// ExportSpec) with coalesced change notifications (OnRunsBulkChange).
+// ExportSpec) with coalesced change notifications (OnRunsChange).
 type Store = store.Store
 
 // OpenStore opens (creating if needed) a provenance repository.

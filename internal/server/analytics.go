@@ -12,8 +12,11 @@ package server
 // uses — exact responses simply bypass the result LRU.
 
 import (
+	"cmp"
 	"fmt"
 	"net/http"
+	"slices"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/cluster"
@@ -154,10 +157,10 @@ type outliersPayload struct {
 }
 
 // handleOutliers scores every stored run by its mean edit distance to
-// its k nearest cohort members, most anomalous first. Indexed cohorts
-// produce byte-identical scores and order; only the contextual
-// mean_all field is omitted (it would force every pairwise diff —
-// pass ?exact=1 to get it back).
+// its k nearest cohort members, most anomalous first, ties in run-name
+// order. Indexed cohorts produce byte-identical scores and order; only
+// the contextual mean_all field is omitted (it would force every
+// pairwise diff — pass ?exact=1 to get it back).
 func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	ns, ok := s.names(w, r, "spec")
 	if !ok {
@@ -200,6 +203,14 @@ func (s *Server) handleOutliers(w http.ResponseWriter, r *http.Request) {
 	for i, sc := range scores {
 		out[i] = outlierJSON{Run: labels[sc.Index], Score: sc.Score, MeanAll: sc.MeanAll}
 	}
+	// Both paths rank by score; ties go in run-name order, since cohort
+	// order differs between the dense matrix and the index.
+	slices.SortStableFunc(out, func(a, b outlierJSON) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Run, b.Run)
+	})
 	p := outliersPayload{Spec: ns[0], Cost: m.Name(), Neighbors: k, Outliers: out, Indexed: v.Indexed()}
 	if !exact {
 		s.cache.addIfGen(key, p, gen)

@@ -1,10 +1,10 @@
 package server
 
 // Differential test for the group-commit pipeline: a set of runs
-// ingested through the batched async path must leave the store
-// byte-identical — run XML, snapshot segment, manifest — to the same
-// runs imported sequentially through the direct (pre-pipeline) path,
-// and both servers must give the same analytic answers.
+// ingested in batches of k must leave the store byte-identical — run
+// XML, snapshot segment, manifest up to ledger batch numbers — to the
+// same runs imported sequentially in batches of one, and both servers
+// must give the same analytic answers.
 
 import (
 	"bytes"
@@ -23,8 +23,7 @@ import (
 	"repro/internal/wfxml"
 )
 
-// encodeRunNamed is encodeRun with the run's own name in the document,
-// so the direct path's decode→re-encode round trip is byte-stable.
+// encodeRunNamed is encodeRun with the run's own name in the document.
 func encodeRunNamed(tb testing.TB, st *store.Store, seed int64, name string) []byte {
 	tb.Helper()
 	sp, err := st.LoadSpec("pa")
@@ -42,8 +41,8 @@ func encodeRunNamed(tb testing.TB, st *store.Store, seed int64, name string) []b
 	return buf.Bytes()
 }
 
-// manifestShape mirrors the snapshot manifest for comparison, with
-// the one legitimately divergent field (XML mod time) normalised out.
+// manifestShape mirrors the snapshot manifest for comparison, leaving
+// out the one legitimately divergent field: each entry's ledger batch.
 type manifestShape struct {
 	Version   int                      `json:"version"`
 	LiveBytes int64                    `json:"live_bytes"`
@@ -52,13 +51,13 @@ type manifestShape struct {
 }
 
 type manifestEntry struct {
-	Offset      int64 `json:"offset"`
-	Length      int64 `json:"length"`
-	Codec       int   `json:"codec"`
-	Nodes       int   `json:"nodes"`
-	Edges       int   `json:"edges"`
-	XMLSize     int64 `json:"xml_size"`
-	XMLModNanos int64 `json:"xml_mod_nanos"`
+	Offset    int64  `json:"offset"`
+	Length    int64  `json:"length"`
+	Codec     int    `json:"codec"`
+	Nodes     int    `json:"nodes"`
+	Edges     int    `json:"edges"`
+	XMLSHA256 string `json:"xml_sha256"`
+	Hash      string `json:"hash"`
 }
 
 func readManifest(t *testing.T, dir string) manifestShape {
@@ -71,10 +70,6 @@ func readManifest(t *testing.T, dir string) manifestShape {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range m.Runs {
-		e.XMLModNanos = 0
-		m.Runs[name] = e
-	}
 	return m
 }
 
@@ -82,7 +77,7 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	const k = 6
 	dirP, dirD := t.TempDir(), t.TempDir()
 	srvP, stP := seedServerAt(t, dirP, 0, Options{IngestBatch: k, IngestMaxWait: 100 * time.Millisecond})
-	srvD, stD := seedServerAt(t, dirD, 0, Options{DirectIngest: true})
+	srvD, _ := seedServerAt(t, dirD, 0, Options{IngestBatch: 1})
 
 	bodies := make([][]byte, k)
 	names := make([]string, k)
@@ -91,7 +86,7 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 		bodies[i] = encodeRunNamed(t, stP, int64(3000+i), names[i])
 	}
 
-	// Pipeline arm: async posts, FIFO from this one goroutine, so the
+	// Batched arm: async posts, FIFO from this one goroutine, so the
 	// batcher coalesces them (up to all k in one commit) in known order.
 	statusURLs := make([]string, k)
 	for i, name := range names {
@@ -107,22 +102,16 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 			t.Fatalf("ticket for %s resolved %q: %+v", names[i], view.State, view)
 		}
 	}
+	if got := srvP.ingest.Stats().MaxBatch; got < 2 {
+		t.Fatalf("batched arm committed at most %d run per batch; the test needs coalesced batches", got)
+	}
 
-	// Direct arm: the same bodies, sequential synchronous posts.
+	// Sequential arm: the same bodies, one synchronous post (and one
+	// commit) at a time.
 	for i, name := range names {
 		if rec := do(t, srvD, "POST", "/v1/specs/pa/runs/"+name, bodies[i], nil); rec.Code != http.StatusCreated {
-			t.Fatalf("direct post %s = %d %q", name, rec.Code, rec.Body.String())
+			t.Fatalf("sequential post %s = %d %q", name, rec.Code, rec.Body.String())
 		}
-	}
-
-	// Align the snapshot layer: idempotent for the pipeline arm (its
-	// frames landed at commit), materialising for the direct arm (its
-	// frames were deferred).
-	if _, err := stP.Snapshot("pa"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := stD.Snapshot("pa"); err != nil {
-		t.Fatal(err)
 	}
 
 	for _, name := range names {
@@ -136,7 +125,7 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(xp, xd) {
-			t.Errorf("%s differs between pipeline and direct stores", rel)
+			t.Errorf("%s differs between batched and sequential stores", rel)
 		}
 	}
 
@@ -150,7 +139,7 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 	}
 	mp, md := readManifest(t, dirP), readManifest(t, dirD)
 	if !bytes.Equal(segP, segD) {
-		t.Errorf("snapshot segments differ: pipeline %d bytes, direct %d bytes", len(segP), len(segD))
+		t.Errorf("snapshot segments differ: batched %d bytes, sequential %d bytes", len(segP), len(segD))
 		// Attribute the divergence to frames via the manifest layout.
 		for _, name := range names {
 			ep, ed := mp.Runs[name], md.Runs[name]
@@ -165,14 +154,14 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 				for i < len(fp) && fp[i] == fd[i] {
 					i++
 				}
-				t.Errorf("  %s: frame differs at byte %d of %d (pipeline % x | direct % x)",
+				t.Errorf("  %s: frame differs at byte %d of %d (batched % x | sequential % x)",
 					name, i, len(fp), fp[max(0, i-4):min(len(fp), i+8)], fd[max(0, i-4):min(len(fd), i+8)])
 			}
 		}
 	}
 
 	if !reflect.DeepEqual(mp, md) {
-		t.Errorf("manifests differ (mod times normalised):\npipeline: %+v\ndirect:   %+v", mp, md)
+		t.Errorf("manifests differ (batch numbers left out):\nbatched:    %+v\nsequential: %+v", mp, md)
 	}
 
 	// Same analytic answers from both servers.
@@ -186,11 +175,11 @@ func TestPipelineIngestByteIdenticalToSequential(t *testing.T) {
 		rp := do(t, srvP, "GET", target, nil, nil)
 		rd := do(t, srvD, "GET", target, nil, nil)
 		if rp.Code != http.StatusOK || rd.Code != http.StatusOK {
-			t.Errorf("%s: pipeline %d, direct %d", target, rp.Code, rd.Code)
+			t.Errorf("%s: batched %d, sequential %d", target, rp.Code, rd.Code)
 			continue
 		}
 		if !bytes.Equal(rp.Body.Bytes(), rd.Body.Bytes()) {
-			t.Errorf("%s answers differ:\npipeline: %q\ndirect:   %q", target, truncate(rp.Body.String()), truncate(rd.Body.String()))
+			t.Errorf("%s answers differ:\nbatched:    %q\nsequential: %q", target, truncate(rp.Body.String()), truncate(rd.Body.String()))
 		}
 	}
 	srvP.Close()

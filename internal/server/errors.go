@@ -1,7 +1,6 @@
 package server
 
-// Uniform JSON error envelope: every endpoint — /v1 and the
-// deprecated legacy aliases alike — reports failures as
+// Uniform JSON error envelope: every endpoint reports failures as
 //
 //	{"error":{"code":"not_found","message":"..."}}
 //

@@ -20,6 +20,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/ingest"
 	"repro/internal/store"
+	"repro/internal/store/faultfs"
 )
 
 // wantEnvelope asserts a response is exactly the error envelope with
@@ -204,6 +205,33 @@ func TestEnvelope500CommitFault(t *testing.T) {
 	wantEnvelope(t, rec, http.StatusInternalServerError, "internal")
 }
 
+// TestEnvelope500FailedDurableAppend: the segment append that is a
+// sync import's durability point fails, so the client gets the
+// service's 500, never a 201 for a run that was not committed.
+func TestEnvelope500FailedDurableAppend(t *testing.T) {
+	be, err := store.NewFSBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb := faultfs.Wrap(be)
+	st := store.OpenBackend(fb)
+	pa, err := gen.Catalog("PA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSpec("pa", pa); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Options{})
+	defer srv.Close()
+	fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "runs.seg", N: 1, Mode: faultfs.ErrIO})
+	rec := do(t, srv, "POST", "/v1/specs/pa/runs/nosync", encodeRun(t, st, 779), nil)
+	wantEnvelope(t, rec, http.StatusInternalServerError, "internal")
+	if len(fb.Injected()) != 1 {
+		t.Fatalf("injected faults = %v, want the one segment append", fb.Injected())
+	}
+}
+
 // TestEnvelope503AfterClose: a drained pipeline refuses new imports
 // with 503/unavailable while reads keep answering.
 func TestEnvelope503AfterClose(t *testing.T) {
@@ -228,16 +256,13 @@ func (p poisonedBody) Read([]byte) (int, error) {
 
 // TestIngestBoundaryValidation pins the fix for the import-path
 // asymmetry: both POST shapes (?name= and path value) validate the
-// run name at the boundary, without reading the body, under /v1 and
-// the legacy alias alike.
+// run name at the boundary, without reading the body.
 func TestIngestBoundaryValidation(t *testing.T) {
 	srv, _ := seedServer(t, 0, Options{})
 	targets := []string{
 		"/v1/specs/pa/runs?name=..%2Fevil",
 		"/v1/specs/pa/runs/..%2Fevil",
-		"/v1/specs/pa/runs", // name missing entirely
-		"/specs/pa/runs?name=..%2Fevil",
-		"/specs/pa/runs/..%2Fevil",
+		"/v1/specs/pa/runs",           // name missing entirely
 		"/v1/specs/..%2Fevil/runs/ok", // spec side of the same boundary
 	}
 	for _, target := range targets {

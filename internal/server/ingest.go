@@ -1,12 +1,11 @@
 package server
 
-// Group-commit ingest wiring. Single-run imports no longer call
-// store.SaveRun inline: the handler validates at the boundary, reads
-// the body, and enqueues a job on the internal/ingest pipeline. The
-// batcher drains the queue into batches and hands them to commitBatch
-// below, which parses every document concurrently and commits each
-// spec's runs through store.ImportParsed — one fsynced segment
-// append, one manifest save, one coalesced OnRunsBulkChange per
+// Group-commit ingest wiring. The handler validates at the boundary,
+// reads the body, and enqueues a job on the internal/ingest pipeline.
+// The batcher drains the queue into batches and hands them to
+// commitBatch below, which parses every document concurrently and
+// commits each spec's runs through store.ImportParsed — one fsynced
+// segment append, one manifest save, one coalesced OnRunsChange per
 // batch, however many clients were importing at once.
 //
 // Synchronous clients (the default) park on the job's response
@@ -76,12 +75,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.opts.DirectIngest {
-		t0 = time.Now()
-		s.directImport(w, specName, runName, body)
-		observeStage(r.Context(), stageStore, t0)
-		return
-	}
 	if s.query(r).flag("async") {
 		t := s.tickets.New(specName, []string{runName})
 		if err := s.ingest.Enqueue(&ingest.Job{Spec: specName, Run: runName, XML: body, Ticket: t}); err != nil {
@@ -110,41 +103,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// Content-Type must precede WriteHeader or it is dropped.
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusCreated)
-	body201 := map[string]any{
-		"spec": specName, "run": runName,
-		"nodes": res.Nodes, "edges": res.Edges,
-	}
-	if res.Hash != "" {
-		body201["hash"] = res.Hash
-	}
-	writeJSON(w, body201)
-}
-
-// directImport is the pre-pipeline synchronous path, selected by
-// Options.DirectIngest: parse and SaveRun inline, one manifest touch
-// per request. Kept for the sustained-ingest benchmark's baseline and
-// for the differential test proving the pipeline's on-disk result is
-// byte-identical to it.
-func (s *Server) directImport(w http.ResponseWriter, specName, runName string, body []byte) {
-	sp, err := s.st.LoadSpec(specName)
-	if err != nil {
-		s.storeError(w, err)
-		return
-	}
-	run, err := wfxml.DecodeRun(bytes.NewReader(body), sp)
-	if err != nil {
-		s.httpError(w, err, http.StatusBadRequest)
-		return
-	}
-	if err := s.st.SaveRun(specName, runName, run); err != nil {
-		s.storeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
 	writeJSON(w, map[string]any{
 		"spec": specName, "run": runName,
-		"nodes": run.NumNodes(), "edges": run.NumEdges(),
+		"nodes": res.Nodes, "edges": res.Edges, "hash": res.Hash,
 	})
 }
 
@@ -185,9 +146,10 @@ func (s *Server) handleTicket(w http.ResponseWriter, r *http.Request) {
 
 // commitBatch is the pipeline's CommitFunc. Parse errors are
 // per-item: one malformed document fails only its own job, unlike the
-// all-or-nothing runs:bulk endpoint. Commit errors from the store are
-// wrapped as commitError so they surface as 500s, except the runs
-// that bulkAbort reports as landed.
+// all-or-nothing runs:bulk endpoint. A run is acknowledged only once
+// the store reports its ledger hash, i.e. once the batch's durable
+// append succeeded; every other run of a failed wave gets the store's
+// error wrapped as commitError, which surfaces as a 500.
 func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 	results := make([]ingest.Result, len(jobs))
 	parsed := make([]*wfrun.Run, len(jobs))
@@ -259,20 +221,17 @@ func (s *Server) commitBatch(jobs []*ingest.Job) []ingest.Result {
 				prs[k] = store.ParsedRun{Name: jobs[i].Run, XML: jobs[i].XML, Run: parsed[i]}
 			}
 			stats, err := s.st.ImportParsed(specName, prs)
-			landed := make(map[string]bool, len(stats.Imported))
 			hashes := make(map[string]string, len(stats.Hashes))
-			for k, name := range stats.Imported {
-				landed[name] = true
-				if k < len(stats.Hashes) {
-					hashes[name] = stats.Hashes[k]
-				}
+			for k, h := range stats.Hashes {
+				hashes[stats.Imported[k]] = h
 			}
 			for _, i := range wave {
-				if err == nil || landed[jobs[i].Run] {
-					results[i] = ingest.Result{Nodes: parsed[i].NumNodes(), Edges: parsed[i].NumEdges(), Hash: hashes[jobs[i].Run]}
-				} else {
+				h, landed := hashes[jobs[i].Run]
+				if !landed {
 					results[i].Err = commitError{err}
+					continue
 				}
+				results[i] = ingest.Result{Nodes: parsed[i].NumNodes(), Edges: parsed[i].NumEdges(), Hash: h}
 			}
 			pending = rest
 		}

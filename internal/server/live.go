@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -152,11 +153,19 @@ func leafCounts(sp *spec.Spec, r *wfrun.Run) []int {
 	return counts
 }
 
+// baselineAttempts bounds how often baseline re-selects the medoid
+// after the selected run was deleted before it could be loaded.
+const baselineAttempts = 3
+
 // baseline resolves (computing and caching on miss) the drift baseline
 // for a specification under a cost model. An empty cohort yields a
 // baseline with no run — drift then reports structure only. The cache
 // entry is cohort-scoped: any run change in the spec drops it, since
 // the medoid may move.
+//
+// A delete can land between the medoid's selection and its load. The
+// delete has already refreshed the cohort, so the medoid is selected
+// again, up to baselineAttempts times.
 func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (driftBaseline, error) {
 	key := cacheKey{spec: specName, cost: m.Name(), kind: kindDrift}
 	t0 := time.Now()
@@ -171,40 +180,55 @@ func (s *Server) baseline(r *http.Request, specName string, m cost.Model) (drift
 		return driftBaseline{}, err
 	}
 	b := driftBaseline{Rate: metricindex.LowerBoundRate(m, sp)}
-	runs, err := s.st.ListRuns(specName)
-	if err != nil {
-		return driftBaseline{}, err
-	}
-	switch len(runs) {
-	case 0:
-		// No cohort yet: cache the empty baseline so per-event appends
-		// don't re-list the directory.
-		s.cache.addIfGen(key, b, gen)
-		return b, nil
-	case 1:
-		b.Run = runs[0]
-	default:
-		v, err := s.cohortView(specName, m)
+	for attempt := 1; ; attempt++ {
+		b.Run, err = s.medoid(r, specName, m)
 		if err != nil {
 			return driftBaseline{}, err
 		}
-		if v.Indexed() {
-			cl, err := cluster.SampledKMedoids(r.Context(), v.Index, 1, 1, cluster.SampleOptions{})
-			if err != nil {
-				return driftBaseline{}, err
-			}
-			b.Run = v.Labels()[cl.Medoids[0]]
-		} else {
-			b.Run = v.Matrix.Labels[v.Matrix.Medoid()]
+		if b.Run == "" {
+			// No cohort yet: cache the empty baseline so per-event
+			// appends don't re-list the directory.
+			break
+		}
+		medoid, err := s.st.LoadRun(specName, b.Run)
+		if err == nil {
+			b.Counts = leafCounts(sp, medoid)
+			break
+		}
+		if !errors.Is(err, fs.ErrNotExist) || attempt == baselineAttempts {
+			return driftBaseline{}, err
 		}
 	}
-	medoid, err := s.st.LoadRun(specName, b.Run)
-	if err != nil {
-		return driftBaseline{}, err
-	}
-	b.Counts = leafCounts(sp, medoid)
 	s.cache.addIfGen(key, b, gen)
 	return b, nil
+}
+
+// medoid names the cohort's most representative run under a cost
+// model, "" when the specification has no stored runs.
+func (s *Server) medoid(r *http.Request, specName string, m cost.Model) (string, error) {
+	runs, err := s.st.ListRuns(specName)
+	switch {
+	case err != nil:
+		return "", err
+	case len(runs) == 0:
+		return "", nil
+	case len(runs) == 1:
+		return runs[0], nil
+	}
+	v, err := s.cohortView(specName, m)
+	switch {
+	case err != nil:
+		return "", err
+	case v.Len() == 0: // every run was deleted since the listing
+		return "", nil
+	case !v.Indexed():
+		return v.Matrix.Labels[v.Matrix.Medoid()], nil
+	}
+	cl, err := cluster.SampledKMedoids(r.Context(), v.Index, 1, 1, cluster.SampleOptions{})
+	if err != nil {
+		return "", err
+	}
+	return v.Labels()[cl.Medoids[0]], nil
 }
 
 // drift scores a live status against the baseline.

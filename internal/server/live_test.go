@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,6 +227,96 @@ func settleGoroutines(t *testing.T, base, slack int) {
 			t.Fatalf("goroutines did not settle: %d > %d+%d\n%s", n, base, slack, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// listHook is a backend that runs a callback once, right after the
+// next listing of one directory returns.
+type listHook struct {
+	store.Backend
+	mu    sync.Mutex
+	dir   string
+	after func()
+}
+
+func (h *listHook) arm(dir string, after func()) {
+	h.mu.Lock()
+	h.dir, h.after = dir, after
+	h.mu.Unlock()
+}
+
+func (h *listHook) List(dir string) ([]store.Entry, error) {
+	ents, err := h.Backend.List(dir)
+	h.mu.Lock()
+	var after func()
+	if dir == h.dir {
+		after, h.after = h.after, nil
+	}
+	h.mu.Unlock()
+	if after != nil {
+		after()
+	}
+	return ents, err
+}
+
+// TestLiveBaselineSurvivesMedoidDelete: a delete that lands between
+// the drift baseline's medoid selection and the medoid's load must not
+// fail the live run's events; the baseline is selected again from the
+// refreshed cohort, and the run's later batches still apply.
+func TestLiveBaselineSurvivesMedoidDelete(t *testing.T) {
+	be, err := store.NewFSBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := &listHook{Backend: be}
+	st := store.OpenBackend(hook)
+	pa, err := gen.Catalog("PA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveSpec("pa", pa); err != nil {
+		t.Fatal(err)
+	}
+	sp, err := st.LoadSpec("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	seed, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveRun("pa", "r0", seed); err != nil {
+		t.Fatal(err)
+	}
+	live, err := gen.RandomRun(sp, gen.DefaultRunParams(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := wfrun.Events(live)
+	srv := New(st, Options{CacheSize: 32})
+	defer srv.Close()
+
+	// r0, the only run and so the medoid, is deleted right after the
+	// baseline lists the cohort.
+	hook.arm("pa/runs", func() {
+		if err := st.DeleteRun("pa", "r0"); err != nil {
+			t.Error(err)
+		}
+	})
+	half := len(evs) / 2
+	var p liveEventsPayload
+	if rec := do(t, srv, "PATCH", "/v1/specs/pa/runs/lv/events", eventBody(t, evs[:half]...), &p); rec.Code != http.StatusOK {
+		t.Fatalf("first batch = %d %q", rec.Code, rec.Body.String())
+	}
+	if p.Drift.Baseline != "" || p.Events != half {
+		t.Fatalf("first batch against an emptied cohort: baseline %q, %d events; want none, %d", p.Drift.Baseline, p.Events, half)
+	}
+	if rec := do(t, srv, "PATCH", "/v1/specs/pa/runs/lv/events?complete=1", eventBody(t, evs[half:]...), &p); rec.Code != http.StatusOK {
+		t.Fatalf("second batch = %d %q", rec.Code, rec.Body.String())
+	}
+	if !p.Completed {
+		t.Fatalf("completing batch did not complete the run: %+v", p)
 	}
 }
 

@@ -10,7 +10,7 @@
 //     requests instead of being rebuilt per diff;
 //   - finished diff payloads (JSON and SVG) live in a bounded LRU
 //     keyed by (spec, runA, runB, cost), invalidated through
-//     store.OnRunChange when a run is re-imported or deleted;
+//     store.OnRunsChange when a run is re-imported or deleted;
 //   - cohort matrices fan out over a worker pool and can stream
 //     per-pair progress to the client as NDJSON;
 //   - single-run imports flow through a group-commit pipeline
@@ -43,17 +43,14 @@
 //	GET    /v1/stats                          service counters (incl. ledger heads + repository root)
 //	GET    /v1/healthz                        liveness probe
 //
-// The pre-/v1 routes (same paths minus the prefix, plus the old
-// /diff/{spec}/{a}/{b} and /cohort/{spec} shapes) remain as deprecated
-// aliases: they are served by the same handlers byte-for-byte and
-// carry "Deprecation: true" plus a successor-version Link header (see
-// routes.go). Errors everywhere use one JSON envelope,
-// {"error":{"code":...,"message":...}} (see errors.go).
+// Each endpoint has exactly this one route (see routes.go). Errors
+// everywhere use one JSON envelope, {"error":{"code":...,"message":...}}
+// (see errors.go).
 //
 // The three cohort-analytics endpoints share one incrementally
 // maintained distance matrix per (spec, cost model): importing a run
 // into an n-run cohort differences only the n new pairs, with
-// store.OnRunChange generation checks guaranteeing a stale row is
+// store.OnRunsChange generation checks guaranteeing a stale row is
 // never retained (see cohortcache.go).
 package server
 
@@ -114,10 +111,6 @@ type Options struct {
 	// TicketRetention bounds resolved async tickets kept for polling;
 	// <= 0 means ingest.DefaultTicketRetention.
 	TicketRetention int
-	// DirectIngest bypasses the group-commit pipeline and imports
-	// synchronously inline (the pre-pipeline behavior) — the baseline
-	// arm of the sustained-ingest benchmark and differential tests.
-	DirectIngest bool
 	// OnRequestTiming, when set, receives every finished request's
 	// stage-timing record after the handler returns (provserved wires
 	// it to the -timing-log CSV sink). Must be safe for concurrent
@@ -174,17 +167,15 @@ func New(st *store.Store, opts Options) *Server {
 		watch:   newWatchHub(),
 	}
 	s.ingest = s.newIngest()
-	st.OnRunChange(s.cache.invalidateRun)
-	st.OnRunChange(s.cohorts.invalidate)
-	// Batched imports arrive coalesced: per-run invalidation for the
+	// Changes arrive coalesced per write: per-run invalidation for the
 	// pair cache (each named run's entries are stale), one batched
 	// mark for the cohort matrices — the sync pass replays it
 	// incrementally or as one Reset, whichever is cheaper.
-	st.OnRunsBulkChange(func(specName string, runNames []string) {
+	st.OnRunsChange(func(specName string, runNames []string) {
 		for _, run := range runNames {
 			s.cache.invalidateRun(specName, run)
 		}
-		s.cohorts.invalidateBulk(specName, runNames)
+		s.cohorts.invalidateRuns(specName, runNames)
 	})
 	s.registerRoutes()
 	return s

@@ -1,16 +1,12 @@
 package server
 
-// Legacy-alias parity: every pre-/v1 route must answer byte-identically
-// to its /v1 successor (same handler, same body, same status) while
-// carrying the deprecation headers. The test is driven off routeTable()
-// itself, so a route added with a Legacy alias but no parity case here
-// fails the coverage check rather than silently shipping unverified.
+// The pre-/v1 aliases are gone: every endpoint has exactly one route,
+// under /v1. TestV1LegacyParity keeps one case per former alias and
+// checks that its URL now answers 404 in the error envelope while its
+// /v1 successor serves the request.
 
 import (
-	"bytes"
-	"fmt"
 	"net/http"
-	"strings"
 	"testing"
 )
 
@@ -18,24 +14,13 @@ func TestV1LegacyParity(t *testing.T) {
 	srv, st := seedEvolveServer(t, 3, Options{CacheSize: 16})
 	runBody := encodeRun(t, st, 900)
 	tarBody, _ := bulkTar(t, st, 2, 901, "pb")
-	purge := func(t *testing.T) { srv.cache.purge() }
-	reimport := func(name string) func(*testing.T) {
-		return func(t *testing.T) {
-			t.Helper()
-			if rec := do(t, srv, "POST", "/v1/specs/pa/runs/"+name, runBody, nil); rec.Code != http.StatusCreated {
-				t.Fatalf("seed %s = %d %q", name, rec.Code, rec.Body.String())
-			}
-		}
-	}
 
 	cases := []struct {
-		key      string // Method + " " + legacy pattern, for the coverage check
-		method   string
-		legacy   string // concrete legacy URL
-		v1       string // concrete /v1 URL
-		body     []byte
-		prep     func(*testing.T) // runs before EACH arm
-		skipBody bool             // response carries request-time state (uptime)
+		key    string // Method + " " + former legacy pattern
+		method string
+		legacy string // concrete former legacy URL
+		v1     string // concrete /v1 URL
+		body   []byte
 	}{
 		{key: "GET /specs", method: "GET", legacy: "/specs", v1: "/v1/specs"},
 		{key: "GET /specs/{spec}/runs", method: "GET", legacy: "/specs/pa/runs", v1: "/v1/specs/pa/runs"},
@@ -43,72 +28,26 @@ func TestV1LegacyParity(t *testing.T) {
 		{key: "POST /specs/{spec}/runs/{run}", method: "POST", legacy: "/specs/pa/runs/py", v1: "/v1/specs/pa/runs/py", body: runBody},
 		{key: "POST /specs/{spec}/runs:bulk", method: "POST", legacy: "/specs/pa/runs:bulk", v1: "/v1/specs/pa/runs:bulk", body: tarBody},
 		{key: "GET /specs/{spec}/export", method: "GET", legacy: "/specs/pa/export", v1: "/v1/specs/pa/export"},
-		{key: "DELETE /specs/{spec}/runs/{run}", method: "DELETE", legacy: "/specs/pa/runs/del0", v1: "/v1/specs/pa/runs/del0", prep: reimport("del0")},
-		{key: "GET /diff/{spec}/{a}/{b}", method: "GET", legacy: "/diff/pa/r0/r1", v1: "/v1/specs/pa/diff/r0/r1", prep: purge},
-		{key: "GET /diff/{spec}/{a}/{b}/svg", method: "GET", legacy: "/diff/pa/r0/r1/svg", v1: "/v1/specs/pa/diff/r0/r1/svg", prep: purge},
-		{key: "GET /cohort/{spec}", method: "GET", legacy: "/cohort/pa", v1: "/v1/specs/pa/cohort", prep: purge},
-		{key: "GET /specs/{a}/evolve/{b}", method: "GET", legacy: "/specs/pa/evolve/pa-v2", v1: "/v1/specs/pa/evolve/pa-v2", prep: purge},
-		{key: "GET /specs/{a}/evolve/{b}/svg", method: "GET", legacy: "/specs/pa/evolve/pa-v2/svg", v1: "/v1/specs/pa/evolve/pa-v2/svg", prep: purge},
-		{key: "GET /specs/{spec}/cluster", method: "GET", legacy: "/specs/pa/cluster?k=2&seed=3", v1: "/v1/specs/pa/cluster?k=2&seed=3", prep: purge},
-		{key: "GET /specs/{spec}/outliers", method: "GET", legacy: "/specs/pa/outliers?k=2", v1: "/v1/specs/pa/outliers?k=2", prep: purge},
-		{key: "GET /specs/{spec}/nearest", method: "GET", legacy: "/specs/pa/nearest?run=r0&k=2", v1: "/v1/specs/pa/nearest?run=r0&k=2", prep: purge},
-		{key: "GET /metrics", method: "GET", legacy: "/metrics", v1: "/v1/metrics", skipBody: true},
-		{key: "GET /stats", method: "GET", legacy: "/stats", v1: "/v1/stats", skipBody: true},
+		{key: "DELETE /specs/{spec}/runs/{run}", method: "DELETE", legacy: "/specs/pa/runs/py", v1: "/v1/specs/pa/runs/py"},
+		{key: "GET /diff/{spec}/{a}/{b}", method: "GET", legacy: "/diff/pa/r0/r1", v1: "/v1/specs/pa/diff/r0/r1"},
+		{key: "GET /diff/{spec}/{a}/{b}/svg", method: "GET", legacy: "/diff/pa/r0/r1/svg", v1: "/v1/specs/pa/diff/r0/r1/svg"},
+		{key: "GET /cohort/{spec}", method: "GET", legacy: "/cohort/pa", v1: "/v1/specs/pa/cohort"},
+		{key: "GET /specs/{a}/evolve/{b}", method: "GET", legacy: "/specs/pa/evolve/pa-v2", v1: "/v1/specs/pa/evolve/pa-v2"},
+		{key: "GET /specs/{a}/evolve/{b}/svg", method: "GET", legacy: "/specs/pa/evolve/pa-v2/svg", v1: "/v1/specs/pa/evolve/pa-v2/svg"},
+		{key: "GET /specs/{spec}/cluster", method: "GET", legacy: "/specs/pa/cluster?k=2&seed=3", v1: "/v1/specs/pa/cluster?k=2&seed=3"},
+		{key: "GET /specs/{spec}/outliers", method: "GET", legacy: "/specs/pa/outliers?k=2", v1: "/v1/specs/pa/outliers?k=2"},
+		{key: "GET /specs/{spec}/nearest", method: "GET", legacy: "/specs/pa/nearest?run=r0&k=2", v1: "/v1/specs/pa/nearest?run=r0&k=2"},
+		{key: "GET /metrics", method: "GET", legacy: "/metrics", v1: "/v1/metrics"},
+		{key: "GET /stats", method: "GET", legacy: "/stats", v1: "/v1/stats"},
 		{key: "GET /healthz", method: "GET", legacy: "/healthz", v1: "/v1/healthz"},
 	}
-
-	covered := make(map[string]bool, len(cases))
 	for _, c := range cases {
-		covered[c.key] = true
 		t.Run(c.key, func(t *testing.T) {
-			if c.prep != nil {
-				c.prep(t)
-			}
-			lrec := do(t, srv, c.method, c.legacy, c.body, nil)
-			if c.prep != nil {
-				c.prep(t)
-			}
-			vrec := do(t, srv, c.method, c.v1, c.body, nil)
-
-			if lrec.Code != vrec.Code {
-				t.Errorf("status: legacy %d vs v1 %d (%q / %q)", lrec.Code, vrec.Code, lrec.Body.String(), vrec.Body.String())
-			}
-			if !c.skipBody && !bytes.Equal(lrec.Body.Bytes(), vrec.Body.Bytes()) {
-				t.Errorf("bodies differ:\nlegacy: %q\nv1:     %q", truncate(lrec.Body.String()), truncate(vrec.Body.String()))
-			}
-			if got := lrec.Header().Get("Deprecation"); got != "true" {
-				t.Errorf("legacy Deprecation header = %q, want \"true\"", got)
-			}
-			wantLink := fmt.Sprintf("<%s>; rel=%q", strings.SplitN(c.v1, "?", 2)[0], "successor-version")
-			if got := lrec.Header().Get("Link"); got != wantLink {
-				t.Errorf("legacy Link header = %q, want %q", got, wantLink)
-			}
-			if got := vrec.Header().Get("Deprecation"); got != "" {
-				t.Errorf("v1 response carries Deprecation header %q", got)
-			}
-			if got := vrec.Header().Get("Link"); got != "" {
-				t.Errorf("v1 response carries Link header %q", got)
+			wantEnvelope(t, do(t, srv, c.method, c.legacy, c.body, nil), http.StatusNotFound, "not_found")
+			if rec := do(t, srv, c.method, c.v1, c.body, nil); rec.Code >= 300 {
+				t.Fatalf("%s %s = %d %q", c.method, c.v1, rec.Code, truncate(rec.Body.String()))
 			}
 		})
-	}
-
-	// Coverage: every legacy alias in the route table has a parity
-	// case, and every case names a real table row.
-	table := make(map[string]bool)
-	for _, rt := range srv.routeTable() {
-		if rt.Legacy == "" {
-			continue
-		}
-		key := rt.Method + " " + rt.Legacy
-		table[key] = true
-		if !covered[key] {
-			t.Errorf("legacy route %s has no parity case", key)
-		}
-	}
-	for key := range covered {
-		if !table[key] {
-			t.Errorf("parity case %s matches no legacy route in routeTable", key)
-		}
 	}
 }
 
@@ -119,8 +58,8 @@ func truncate(s string) string {
 	return s
 }
 
-// TestTicketRouteIsV1Only pins the one deliberate asymmetry: the async
-// ticket endpoint has no legacy alias.
+// TestTicketRouteIsV1Only: the async ticket endpoint, which never had
+// an unversioned alias, is served under /v1 only too.
 func TestTicketRouteIsV1Only(t *testing.T) {
 	srv, _ := seedServer(t, 0, Options{})
 	if rec := do(t, srv, "GET", "/tickets/tdeadbeef", nil, nil); rec.Code != http.StatusNotFound {

@@ -98,6 +98,9 @@ func New(g *graph.Graph, forks, loops []EdgeSet) (*Spec, error) {
 	// annotation inserts; intervals gain the new internal nodes).
 	s.interval = make(map[*sptree.Node][2]int)
 	s.indexIntervals(s.Tree)
+	// Fill the achievable-lengths memo for every node now, so it is
+	// read-only once the specification is shared.
+	s.AchievableLengths(s.Tree)
 	return s, nil
 }
 
@@ -323,7 +326,9 @@ func (s *Spec) EdgeByLabels(src, dst string, key int) (graph.Edge, bool) {
 // one choice per child, a P picks exactly one branch, and an F or L
 // keeps a single copy or iteration (more would make the node true and
 // the subtree no longer branch-free). Used for W_TG and insertion
-// skeleton pricing.
+// skeleton pricing. New memoizes the answer for every node of s.Tree,
+// so calls on specification nodes only read the memo and are safe for
+// concurrent use.
 func (s *Spec) AchievableLengths(n *sptree.Node) []int {
 	if got, ok := s.lengths[n]; ok {
 		return got

@@ -3,6 +3,7 @@ package spec
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -232,6 +233,34 @@ func TestAchievableLengths(t *testing.T) {
 	if got := fmt.Sprint(sp.AchievableLengths(mid)); got != "[2]" {
 		t.Fatalf("middle achievable lengths = %s, want [2]", got)
 	}
+}
+
+// TestAchievableLengthsConcurrent makes the first calls on a fresh
+// specification from several goroutines at once, as concurrent first
+// diffs of a shared specification do; run it with -race.
+func TestAchievableLengthsConcurrent(t *testing.T) {
+	sp, err := New(fig2Graph(), fig2Forks(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*sptree.Node
+	sp.Tree.Walk(func(v *sptree.Node) bool {
+		nodes = append(nodes, v)
+		return true
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, v := range nodes {
+				if len(sp.AchievableLengths(v)) == 0 {
+					t.Errorf("node %v has no achievable length", v.Type)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestAchievableLengthsMixed(t *testing.T) {

@@ -46,8 +46,9 @@ type ImportStats struct {
 	Nodes    int      // total run-graph nodes imported
 	Edges    int      // total run-graph edges imported
 	// Hashes holds the hex content hash of each imported run's codec
-	// frame, aligned with Imported — the run's ledger identity. Empty
-	// when the snapshot layer is disabled or its write failed.
+	// frame, aligned with Imported — the run's ledger identity. Nil
+	// when the durable segment/ledger append failed: then no run of
+	// the batch is committed, although its XML may be stored.
 	Hashes []string
 }
 
@@ -59,11 +60,10 @@ type ImportStats struct {
 // cache invariant ("only ever serve what a fresh parse would
 // produce") holds without eviction.
 //
-// Change notification is coalesced: the per-run OnRunChange hooks do
-// NOT fire; instead every OnRunsBulkChange hook fires exactly once
-// with the full name list, so a subscriber maintaining a per-spec
-// cohort matrix performs one rebuild instead of len(runs) incremental
-// updates.
+// Change notification is coalesced: every OnRunsChange hook fires
+// exactly once with the full name list, so a subscriber maintaining a
+// per-spec cohort matrix performs one rebuild instead of len(runs)
+// incremental updates.
 //
 // Validation is all-or-nothing per batch: names are checked and every
 // document parsed before anything is written, so a malformed document
@@ -135,18 +135,20 @@ func (s *Store) ImportRuns(specName string, runs []RunData, workers int) (Import
 	return s.ImportParsed(specName, batch)
 }
 
-// ImportParsed is the group-commit half of the bulk import, shared
-// with the server's ingest pipeline: runs that are already parsed
-// (each Run decoded from exactly its XML bytes) are written as
-// authoritative XML, snapshotted in ONE synced segment append + ONE
-// manifest save, published to the parsed-run cache, and announced
-// with ONE coalesced OnRunsBulkChange notification — the per-run
-// OnRunChange hooks do not fire.
+// ImportParsed is the one write path for runs, shared by SaveRun,
+// the bulk imports and the server's ingest pipeline: runs that are
+// already parsed (each Run decoded from exactly its XML bytes) are
+// written as authoritative XML, snapshotted in ONE synced segment
+// append + ONE ledger record + ONE manifest save, published to the
+// parsed-run cache, and announced with ONE OnRunsChange notification.
 //
 // Names are validated and checked for duplicates (ErrDuplicateRun) up
 // front. A mid-write failure keeps the runs already fully written
 // (they are individually valid), snapshots and announces them, and
-// returns the error alongside the partial ImportStats.
+// returns the error alongside the partial ImportStats. A failed
+// durable append is returned too: the batch's XML and cache entries
+// stay (and are announced), but ImportStats.Hashes is nil, since no
+// run of the batch reached its durability point.
 func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, error) {
 	stats := ImportStats{Spec: specName}
 	if err := validName(specName); err != nil {
@@ -172,21 +174,18 @@ func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, er
 		return stats, err
 	}
 	batch := make([]snapBatchItem, 0, len(runs))
+	var err error
 	for _, pr := range runs {
 		key := runXMLKey(specName, pr.Name)
-		if err := s.be.WriteFile(key, pr.XML); err != nil {
+		if werr := s.be.WriteFile(key, pr.XML); werr != nil {
 			// WriteFile is atomic, but stay defensive: drop whatever the
 			// backend may have left so the run cannot poison later
 			// listings and cohorts.
 			_ = s.be.Remove(key)
-			return s.bulkAbort(stats, specName, batch, err)
+			err = fmt.Errorf("store: %w", werr)
+			break
 		}
-		fp, err := s.fingerprintXML(specName, pr.Name, pr.XML)
-		if err != nil {
-			_ = s.be.Remove(key)
-			return s.bulkAbort(stats, specName, batch, fmt.Errorf("store: %w", err))
-		}
-		batch = append(batch, snapBatchItem{name: pr.Name, run: pr.Run, fp: fp})
+		batch = append(batch, snapBatchItem{name: pr.Name, run: pr.Run, sha: xmlDigest(pr.XML)})
 		s.mu.Lock()
 		s.runs[runKey(specName, pr.Name)] = pr.Run
 		s.mu.Unlock()
@@ -194,22 +193,19 @@ func (s *Store) ImportParsed(specName string, runs []ParsedRun) (ImportStats, er
 		stats.Nodes += pr.Run.NumNodes()
 		stats.Edges += pr.Run.NumEdges()
 	}
-	// The segment append is synced: for pipeline clients the batch
-	// commit IS the durability point they were promised. Snapshot
-	// failures stay best-effort (the stored XML is authoritative).
-	stats.Hashes, _ = s.writeRunSnapshotBatch(specName, batch, true)
-	s.notifyBulkChange(specName, stats.Imported)
-	return stats, nil
-}
-
-// bulkAbort reports a mid-write failure. Runs already fully written
-// stay stored (they are individually valid); their snapshots are
-// written and one coalesced notification covers them so subscribers
-// cannot miss the partial import.
-func (s *Store) bulkAbort(stats ImportStats, specName string, batch []snapBatchItem, err error) (ImportStats, error) {
-	if len(stats.Imported) > 0 {
-		stats.Hashes, _ = s.writeRunSnapshotBatch(specName, batch, true)
-		s.notifyBulkChange(specName, stats.Imported)
+	if len(batch) == 0 {
+		return stats, err
+	}
+	// The segment and ledger appends are synced: the batch commit IS
+	// the durability point every writer was promised, so its failure
+	// is the caller's failure too.
+	hashes, serr := s.writeRunSnapshotBatch(specName, batch, true)
+	if serr == nil {
+		stats.Hashes = hashes
+	}
+	s.notifyRunsChange(specName, stats.Imported)
+	if err == nil && serr != nil {
+		err = fmt.Errorf("store: durable commit of %q: %w", specName, serr)
 	}
 	return stats, err
 }

@@ -41,10 +41,8 @@ func TestImportRunsBulk(t *testing.T) {
 	s := reopen(t, dir)
 	batch := genRunXML(t, s, 5, 7, "bulk")
 
-	var singles int
 	var bulks [][]string
-	s.OnRunChange(func(spec, run string) { singles++ })
-	s.OnRunsBulkChange(func(spec string, runs []string) {
+	s.OnRunsChange(func(spec string, runs []string) {
 		if spec != "pa" {
 			t.Errorf("bulk notification for spec %q", spec)
 		}
@@ -57,9 +55,6 @@ func TestImportRunsBulk(t *testing.T) {
 	}
 	if len(stats.Imported) != 5 || stats.Nodes == 0 || stats.Edges == 0 {
 		t.Fatalf("ImportRuns stats = %+v", stats)
-	}
-	if singles != 0 {
-		t.Fatalf("bulk import fired %d per-run notifications, want 0", singles)
 	}
 	if len(bulks) != 1 || len(bulks[0]) != 5 {
 		t.Fatalf("bulk import fired %v coalesced notifications, want one with 5 runs", bulks)
@@ -88,8 +83,8 @@ func TestImportRunsBulk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.Runs != 7 || pre.FromXML > 2 {
-		t.Fatalf("post-import Preload = %+v, want 7 runs with only the seed pair possibly from XML", pre)
+	if pre.Runs != 7 || pre.FromXML != 0 {
+		t.Fatalf("post-import Preload = %+v, want 7 runs, none from XML", pre)
 	}
 }
 

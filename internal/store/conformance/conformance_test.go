@@ -1,6 +1,9 @@
 package conformance_test
 
 import (
+	"io/fs"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/store"
@@ -16,6 +19,22 @@ func TestFSBackend(t *testing.T) {
 		}
 		return be
 	})
+	noTempFiles(t, dir)
+}
+
+// noTempFiles fails if an atomic write left a temp file under dir;
+// the backends' List hides them, so the suite cannot see them itself.
+func noTempFiles(t *testing.T, dir string) {
+	t.Helper()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, ".tmp") {
+			t.Errorf("temp file left behind: %s", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestMemoryBackend(t *testing.T) {
@@ -32,6 +51,7 @@ func TestObjectBackend(t *testing.T) {
 		}
 		return be
 	})
+	noTempFiles(t, dir)
 }
 
 // The sharded fan-out must satisfy the same contract as its shards —

@@ -136,9 +136,9 @@ func requireEqualToPristine(t *testing.T, recovered *store.Store, batches ...[]s
 }
 
 // TestSegmentAppendENOSPC: the snapshot segment append hits a full
-// disk mid-commit. The snapshot layer is best-effort, so the import
-// itself survives on the authoritative XML, and after reboot the
-// repository equals the never-faulted twin.
+// disk mid-commit. The append is the batch's durability point, so the
+// import reports the failure; the XML already written survives, and
+// after reboot the repository equals the never-faulted twin.
 func TestSegmentAppendENOSPC(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, open func() store.Backend) {
 		sp := catalog(t)
@@ -154,8 +154,8 @@ func TestSegmentAppendENOSPC(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "runs.seg", N: 1, Mode: faultfs.ENOSPC})
-		if _, err := st.ImportRuns(specName, b, 2); err != nil {
-			t.Fatalf("import must survive a best-effort snapshot failure, got %v", err)
+		if stats, err := st.ImportRuns(specName, b, 2); !errors.Is(err, syscall.ENOSPC) || stats.Hashes != nil {
+			t.Fatalf("import over a failed segment append = %+v, %v; want ENOSPC and no hashes", stats, err)
 		}
 		if len(fb.Injected()) == 0 {
 			t.Fatal("the scheduled fault never fired")
@@ -186,8 +186,8 @@ func TestLedgerTornAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb.Fail(faultfs.Rule{Op: faultfs.OpAppend, KeySuffix: "ledger.log", N: 1, Mode: faultfs.PartialThenErr})
-		if _, err := st.ImportRuns(specName, b, 2); err != nil {
-			t.Fatalf("import must survive a best-effort ledger failure, got %v", err)
+		if _, err := st.ImportRuns(specName, b, 2); !faultfs.IsInjected(err) {
+			t.Fatalf("import over a torn ledger append = %v, want the injected fault", err)
 		}
 
 		fb.Clear() // reboot

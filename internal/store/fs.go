@@ -41,15 +41,38 @@ func (b *fsBackend) WriteFile(key string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return replaceFile(path, data, false)
+}
+
+// replaceFile atomically replaces the file at path with data: the
+// bytes go to a temp file of their own in the same directory
+// (optionally fsynced), which is then renamed over path. Every call
+// gets a unique temp name, so concurrent writers of one path never
+// share a temp file and the last rename wins. Temp names end in
+// ".tmp", which List skips.
+func replaceFile(path string, data []byte, sync bool) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	tmp := f.Name()
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(data)
+	}
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 func (b *fsBackend) Append(key string, data []byte, sync bool) error {

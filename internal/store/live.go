@@ -140,11 +140,14 @@ func (s *Store) AppendLiveEvents(specName, runName string, evs []wfrun.Event) (L
 	if err := validName(runName); err != nil {
 		return LiveStatus{}, err
 	}
+	// Checked under liveMu: CompleteLiveRun stores the run while
+	// holding it, so a completion cannot slip between this check and
+	// the live entry's re-creation.
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
 	if _, err := s.be.Stat(runXMLKey(specName, runName)); err == nil {
 		return LiveStatus{}, fmt.Errorf("store: run %s/%s: %w", specName, runName, ErrDuplicateRun)
 	}
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
 	e, err := s.liveEntry(specName, runName, true)
 	if err != nil {
 		return LiveStatus{}, err

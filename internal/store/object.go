@@ -104,29 +104,7 @@ func (b *objectBackend) putChunk(data []byte, sync bool) (objectChunk, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return objectChunk{}, err
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return objectChunk{}, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return objectChunk{}, err
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return objectChunk{}, err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return objectChunk{}, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := replaceFile(path, data, sync); err != nil {
 		return objectChunk{}, err
 	}
 	return ch, nil
@@ -138,32 +116,7 @@ func (b *objectBackend) saveIndexLocked(sync bool) error {
 	if err != nil {
 		return err
 	}
-	tmp := b.indexPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, b.indexPath()); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return replaceFile(b.indexPath(), append(data, '\n'), sync)
 }
 
 func (b *objectBackend) ReadFile(key string) ([]byte, error) {

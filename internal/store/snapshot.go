@@ -30,8 +30,8 @@ import (
 // The segment is append-only: every snapshotted run is one
 // checksummed codec frame at a recorded offset, and the manifest maps
 // run names to (offset, length, codec version, node/edge counts) plus
-// a stat fingerprint of the run's XML blob. A manifest entry is only
-// trusted when its fingerprint still matches the stored XML, so
+// the SHA-256 of the run's XML blob. A manifest entry is only
+// trusted when that digest still matches the stored XML, so
 // out-of-band edits to the authoritative blobs simply demote the
 // snapshot to a miss. Deleting or re-importing a run drops its entry;
 // the dead bytes stay in the segment until the compaction threshold
@@ -46,6 +46,8 @@ import (
 // added content hashing (frame hash, XML hash, ledger batch seq); a
 // version-1 manifest is discarded wholesale, its segment bytes counted
 // dead, and every run re-snapshots — with hashes — on its next load.
+// Version-2 manifests written before the xml_size/xml_mod_nanos stat
+// fields were dropped still decode: JSON ignores the extra fields.
 const manifestVersion = 2
 
 // compactMinDeadBytes and compactMinDeadRatio bound segment garbage:
@@ -64,13 +66,9 @@ type snapEntry struct {
 	Codec  int   `json:"codec"` // codec.Version the frame was written with
 	Nodes  int   `json:"nodes"`
 	Edges  int   `json:"edges"`
-	// XMLSize and XMLModNanos fingerprint the authoritative XML blob
-	// the frame was derived from; XMLSHA256 is the digest of its bytes
-	// and is what freshness actually rests on — size+mtime alone miss a
-	// same-length rewrite inside the filesystem's mtime granularity.
-	XMLSize     int64  `json:"xml_size"`
-	XMLModNanos int64  `json:"xml_mod_nanos"`
-	XMLSHA256   string `json:"xml_sha256"`
+	// XMLSHA256 is the hex SHA-256 of the authoritative XML blob the
+	// frame was derived from; freshness rests on it alone.
+	XMLSHA256 string `json:"xml_sha256"`
 	// Hash is the hex SHA-256 content hash of the codec frame (the
 	// frame's ledger identity); Batch is the seq of the ledger record
 	// that most recently committed it.
@@ -155,48 +153,27 @@ func (s *Store) saveManifestLocked(specName string, st *snapState) error {
 	return s.be.WriteFile(manifestKey(specName), append(data, '\n'))
 }
 
-// xmlFP fingerprints a run's authoritative XML blob: stat identity
-// plus a content digest. The digest is what validation trusts — stat
-// fields are recorded for diagnostics and cannot promote a stale
-// entry, only the hash can.
-type xmlFP struct {
-	size     int64
-	modNanos int64
-	sha      string
+// xmlDigest is the hex SHA-256 of a run's XML bytes — the
+// fingerprint a manifest entry records and freshness checks compare.
+func xmlDigest(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
-// xmlFingerprint stats and digests a run's XML blob.
-func (s *Store) xmlFingerprint(specName, runName string) (xmlFP, error) {
-	key := runXMLKey(specName, runName)
-	fi, err := s.be.Stat(key)
+// xmlFingerprint digests a run's stored XML blob.
+func (s *Store) xmlFingerprint(specName, runName string) (string, error) {
+	data, err := s.be.ReadFile(runXMLKey(specName, runName))
 	if err != nil {
-		return xmlFP{}, err
+		return "", err
 	}
-	data, err := s.be.ReadFile(key)
-	if err != nil {
-		return xmlFP{}, err
-	}
-	sum := sha256.Sum256(data)
-	return xmlFP{size: fi.Size, modNanos: fi.ModTime.UnixNano(), sha: hex.EncodeToString(sum[:])}, nil
-}
-
-// fingerprintXML digests already-read XML bytes plus the stat of the
-// blob they were just written to — the import paths hold the bytes in
-// memory and need not read them back.
-func (s *Store) fingerprintXML(specName, runName string, data []byte) (xmlFP, error) {
-	fi, err := s.be.Stat(runXMLKey(specName, runName))
-	if err != nil {
-		return xmlFP{}, err
-	}
-	sum := sha256.Sum256(data)
-	return xmlFP{size: fi.Size, modNanos: fi.ModTime.UnixNano(), sha: hex.EncodeToString(sum[:])}, nil
+	return xmlDigest(data), nil
 }
 
 // fresh reports whether a manifest entry still describes this XML.
 // Content hash decides; an entry written before hashing existed (empty
 // XMLSHA256) is never fresh.
-func (e snapEntry) fresh(fp xmlFP) bool {
-	return e.XMLSHA256 != "" && e.XMLSHA256 == fp.sha
+func (e snapEntry) fresh(sha string) bool {
+	return e.XMLSHA256 != "" && e.XMLSHA256 == sha
 }
 
 // hasFreshSnapshot reports whether a run has a live manifest entry of
@@ -205,9 +182,6 @@ func (e snapEntry) fresh(fp xmlFP) bool {
 // Snapshot's idempotency. A frame that is fresh by this test but
 // corrupt in the segment still self-heals on the next load.
 func (s *Store) hasFreshSnapshot(specName, runName string) bool {
-	if s.noSnapshot {
-		return false
-	}
 	st := s.snap(specName)
 	st.mu.Lock()
 	s.loadManifestLocked(specName, st)
@@ -216,8 +190,8 @@ func (s *Store) hasFreshSnapshot(specName, runName string) bool {
 	if !ok || e.Codec != codec.Version {
 		return false
 	}
-	fp, err := s.xmlFingerprint(specName, runName)
-	return err == nil && e.fresh(fp)
+	sha, err := s.xmlFingerprint(specName, runName)
+	return err == nil && e.fresh(sha)
 }
 
 // segmentRecord frames one run inside the segment file: the run name,
@@ -247,9 +221,6 @@ func parseSegmentRecord(buf []byte) (runName string, frame []byte, err error) {
 // frame that decodes against the spec. Any failure returns
 // (nil, false) and the caller re-parses XML.
 func (s *Store) loadRunSnapshot(specName, runName string, sp *spec.Spec) (*wfrun.Run, bool) {
-	if s.noSnapshot {
-		return nil, false
-	}
 	st := s.snap(specName)
 	st.mu.Lock()
 	s.loadManifestLocked(specName, st)
@@ -258,8 +229,8 @@ func (s *Store) loadRunSnapshot(specName, runName string, sp *spec.Spec) (*wfrun
 	if !ok || e.Codec != codec.Version {
 		return nil, false
 	}
-	fp, err := s.xmlFingerprint(specName, runName)
-	if err != nil || !e.fresh(fp) {
+	sha, err := s.xmlFingerprint(specName, runName)
+	if err != nil || !e.fresh(sha) {
 		return nil, false
 	}
 	buf := make([]byte, e.Length)
@@ -281,20 +252,20 @@ func (s *Store) loadRunSnapshot(specName, runName string, sp *spec.Spec) (*wfrun
 type snapBatchItem struct {
 	name string
 	run  *wfrun.Run
-	fp   xmlFP
+	sha  string // xmlDigest of the XML the run was parsed from
 }
 
 // writeRunSnapshot appends a freshly parsed run to the segment and
 // records it in the manifest — the write-behind half of the snapshot
-// cache, called after every XML parse. The caller supplies the XML
-// fingerprint it captured BEFORE parsing: if the blob was overwritten
-// since, the recorded fingerprint no longer matches the store and the
-// entry demotes itself to a miss instead of serving a stale frame.
-// Errors are returned for callers that care (Snapshot); the LoadRun
-// path treats them as best-effort.
-func (s *Store) writeRunSnapshot(specName, runName string, r *wfrun.Run, fp xmlFP) error {
+// cache, called after every XML parse. The caller supplies the digest
+// of the very bytes it parsed: if the blob was overwritten since, the
+// recorded digest no longer matches the store and the entry demotes
+// itself to a miss instead of serving a stale frame. Errors are
+// returned for callers that care (Snapshot); the LoadRun path treats
+// them as best-effort.
+func (s *Store) writeRunSnapshot(specName, runName string, r *wfrun.Run, sha string) error {
 	_, err := s.writeRunSnapshotBatch(specName, []snapBatchItem{
-		{name: runName, run: r, fp: fp},
+		{name: runName, run: r, sha: sha},
 	}, false)
 	return err
 }
@@ -306,7 +277,9 @@ func (s *Store) writeRunSnapshot(specName, runName string, r *wfrun.Run, fp xmlF
 // With durable set the segment append is synced before the manifest
 // records the frames — the group-commit durability point of the
 // ingest pipeline. The write-behind cache paths leave it unset; they
-// can always re-parse the authoritative XML.
+// can always re-parse the authoritative XML. Compaction afterwards is
+// maintenance: its failure leaves the committed batch as it is and is
+// not reported.
 //
 // The batch is also one ledger record: every item's frame content
 // hash becomes a Merkle leaf, the batch root is chained onto the
@@ -324,7 +297,7 @@ func (s *Store) writeRunSnapshot(specName, runName string, r *wfrun.Run, fp xmlF
 // Returns the hex content hash of each item's frame, aligned with
 // items.
 func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, durable bool) ([]string, error) {
-	if s.noSnapshot || len(items) == 0 {
+	if len(items) == 0 {
 		return nil, nil
 	}
 	records := make([][]byte, len(items))
@@ -357,20 +330,18 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, du
 			// Dedup: identical frame already live (and verified intact)
 			// in the segment.
 			e := old
-			e.XMLSize, e.XMLModNanos, e.XMLSHA256 = it.fp.size, it.fp.modNanos, it.fp.sha
+			e.XMLSHA256 = it.sha
 			entries[i] = e
 			continue
 		}
 		entries[i] = snapEntry{
-			Offset:      off + int64(seg.Len()),
-			Length:      int64(len(records[i])),
-			Codec:       codec.Version,
-			Nodes:       it.run.NumNodes(),
-			Edges:       it.run.NumEdges(),
-			XMLSize:     it.fp.size,
-			XMLModNanos: it.fp.modNanos,
-			XMLSHA256:   it.fp.sha,
-			Hash:        hashes[i],
+			Offset:    off + int64(seg.Len()),
+			Length:    int64(len(records[i])),
+			Codec:     codec.Version,
+			Nodes:     it.run.NumNodes(),
+			Edges:     it.run.NumEdges(),
+			XMLSHA256: it.sha,
+			Hash:      hashes[i],
 		}
 		seg.Write(records[i])
 	}
@@ -407,7 +378,8 @@ func (s *Store) writeRunSnapshotBatch(specName string, items []snapBatchItem, du
 	if err := s.saveManifestLocked(specName, st); err != nil {
 		return nil, err
 	}
-	return hashes, s.maybeCompactLocked(specName, st)
+	_ = s.maybeCompactLocked(specName, st)
+	return hashes, nil
 }
 
 // segmentFrameIntact re-reads a manifest entry's segment record and
@@ -512,9 +484,6 @@ func (s *Store) maybeCompactLocked(specName string, st *snapState) error {
 // The ledger is untouched: compaction moves live frames, it does not
 // change them, so every inclusion proof survives byte-for-byte.
 func (s *Store) Compact(specName string) error {
-	if s.noSnapshot {
-		return nil
-	}
 	if err := ValidateName(specName); err != nil {
 		return err
 	}
@@ -564,9 +533,6 @@ func (s *Store) compactLocked(specName string, st *snapState) error {
 
 // writeSpecSnapshot persists the binary spec frame (best-effort).
 func (s *Store) writeSpecSnapshot(specName string, sp *spec.Spec) error {
-	if s.noSnapshot {
-		return nil
-	}
 	return s.be.WriteFile(specBinKey(specName), codec.EncodeSpec(sp))
 }
 
@@ -574,9 +540,6 @@ func (s *Store) writeSpecSnapshot(specName string, sp *spec.Spec) error {
 // blob's fingerprint... specifications change so rarely that the
 // guard is simply "spec.xml must not be newer than spec.bin".
 func (s *Store) loadSpecSnapshot(specName string) (*spec.Spec, bool) {
-	if s.noSnapshot {
-		return nil, false
-	}
 	binInfo, err := s.be.Stat(specBinKey(specName))
 	if err != nil {
 		return nil, false
@@ -631,15 +594,11 @@ func (s *Store) Snapshot(specName string) (SnapshotStats, error) {
 		// Parse from XML and snapshot; LoadRun's write-behind would do
 		// this too, but going through loadRunXML keeps the accounting
 		// exact even when the run is already in the memory cache.
-		fp, err := s.xmlFingerprint(specName, name)
-		if err != nil {
-			return stats, fmt.Errorf("store: %w", err)
-		}
-		r, err := s.loadRunXML(specName, name, sp)
+		r, sha, err := s.loadRunXML(specName, name, sp)
 		if err != nil {
 			return stats, err
 		}
-		if err := s.writeRunSnapshot(specName, name, r, fp); err != nil {
+		if err := s.writeRunSnapshot(specName, name, r, sha); err != nil {
 			return stats, err
 		}
 		s.cacheRun(specName, name, r)
@@ -693,14 +652,11 @@ func (s *Store) Preload(specName string) (PreloadStats, error) {
 			stats.FromSnapshot++
 			continue
 		}
-		fp, fpErr := s.xmlFingerprint(specName, name)
-		r, err := s.loadRunXML(specName, name, sp)
+		r, sha, err := s.loadRunXML(specName, name, sp)
 		if err != nil {
 			return stats, err
 		}
-		if fpErr == nil {
-			_ = s.writeRunSnapshot(specName, name, r, fp) // best-effort repair
-		}
+		_ = s.writeRunSnapshot(specName, name, r, sha) // best-effort repair
 		s.cacheRun(specName, name, r)
 		stats.FromXML++
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -187,14 +188,13 @@ func TestDeleteRunDropsSnapshot(t *testing.T) {
 	if _, err := s.Snapshot("pa"); err != nil {
 		t.Fatal(err)
 	}
-	var single, bulk int
-	s.OnRunChange(func(spec, run string) { single++ })
-	s.OnRunsBulkChange(func(spec string, runs []string) { bulk++ })
+	var calls [][]string
+	s.OnRunsChange(func(spec string, runs []string) { calls = append(calls, runs) })
 	if err := s.DeleteRun("pa", "r1"); err != nil {
 		t.Fatal(err)
 	}
-	if single != 1 || bulk != 0 {
-		t.Fatalf("delete fired %d single + %d bulk notifications, want 1 + 0", single, bulk)
+	if len(calls) != 1 || len(calls[0]) != 1 || calls[0][0] != "r1" {
+		t.Fatalf("delete fired notifications %v, want one naming r1", calls)
 	}
 	for _, n := range s.ManifestRuns("pa") {
 		if n == "r1" {
@@ -260,11 +260,11 @@ func TestSaveRunInvalidatesSnapshot(t *testing.T) {
 	}
 }
 
+// TestPreloadWarmsEverything: runs written by SaveRun are snapshotted
+// and attested as they are written, so a restarted store preloads all
+// of them without the XML parser and its ledger covers every one.
 func TestPreloadWarmsEverything(t *testing.T) {
 	dir := seedDir(t, 5)
-	if _, err := reopen(t, dir).Snapshot("pa"); err != nil {
-		t.Fatal(err)
-	}
 	s := reopen(t, dir)
 	all, err := s.PreloadAll()
 	if err != nil {
@@ -272,6 +272,13 @@ func TestPreloadWarmsEverything(t *testing.T) {
 	}
 	if len(all) != 1 || all[0].Runs != 5 || all[0].FromSnapshot != 5 || all[0].FromXML != 0 {
 		t.Fatalf("PreloadAll = %+v", all)
+	}
+	rep, err := s.VerifyLedger("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || rep.Runs != 5 {
+		t.Fatalf("VerifyLedger after SaveRun = %+v, want 5 attested runs", rep)
 	}
 	// Everything must now come from memory: repeated loads share the
 	// cached object.
@@ -285,6 +292,39 @@ func TestPreloadWarmsEverything(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("post-Preload loads did not share the cached run")
+	}
+}
+
+// TestManifestStatFieldsIgnored: a manifest that still carries the
+// xml_size/xml_mod_nanos stat fields older versions wrote loads as
+// fresh; freshness rests on the XML digest alone.
+func TestManifestStatFieldsIgnored(t *testing.T) {
+	dir := seedDir(t, 3)
+	be := openTestBackend(t, dir)
+	raw, err := be.ReadFile(manifestKey("pa"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range m["runs"].(map[string]any) {
+		e.(map[string]any)["xml_size"] = 4242
+		e.(map[string]any)["xml_mod_nanos"] = 1700000000000000000
+	}
+	if raw, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := be.WriteFile(manifestKey("pa"), raw); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := reopen(t, dir).Preload("pa")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.Runs != 3 || pre.FromXML != 0 {
+		t.Fatalf("Preload over a manifest with stat fields = %+v, want 3 runs, none parsed", pre)
 	}
 }
 
@@ -320,16 +360,13 @@ func TestSnapshotRejectsWrongRunRecord(t *testing.T) {
 	if _, err := s.Snapshot("pa"); err != nil {
 		t.Fatal(err)
 	}
-	// Point r0's manifest entry at r1's record.
+	// Point r0's manifest entry at r1's record, keeping r0's XML
+	// digest so only the record's embedded name can reject it.
 	st := s.snap("pa")
 	st.mu.Lock()
 	e0, e1 := st.manifest.Runs["r0"], st.manifest.Runs["r1"]
-	e1.XMLSize, e1.XMLModNanos = e0.XMLSize, e0.XMLModNanos // keep r0's fingerprint valid
-	st.manifest.Runs["r0"] = snapEntry{
-		Offset: e1.Offset, Length: e1.Length, Codec: e1.Codec,
-		Nodes: e1.Nodes, Edges: e1.Edges,
-		XMLSize: e0.XMLSize, XMLModNanos: e0.XMLModNanos,
-	}
+	e1.XMLSHA256 = e0.XMLSHA256
+	st.manifest.Runs["r0"] = e1
 	st.mu.Unlock()
 	sp, err := s.LoadSpec("pa")
 	if err != nil {
@@ -380,6 +417,7 @@ func TestManifestLossCountsSegmentDead(t *testing.T) {
 // TestSnapshotIdempotent: a second Snapshot writes nothing.
 func TestSnapshotIdempotent(t *testing.T) {
 	dir := seedDir(t, 3)
+	xmlOnly(t, dir)
 	s := reopen(t, dir)
 	first, err := s.Snapshot("pa")
 	if err != nil {
@@ -454,46 +492,23 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 }
 
-// --- cold-start benchmarks -----------------------------------------
-//
-// The acceptance bar for the snapshot layer: preloading a 32-run
-// cohort from snapshots must beat re-parsing the XML by >= 5x.
+// --- cold-start benchmark ------------------------------------------
 
-func benchColdPreload(b *testing.B, dir string, xmlPath bool) PreloadStats {
-	b.Helper()
+// BenchmarkColdPreloadSnapshot preloads a 32-run cohort into a
+// restarted store, every run decoded from its snapshot frame.
+func BenchmarkColdPreloadSnapshot(b *testing.B) {
+	dir := seedDir(b, 32)
 	var last PreloadStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := reopen(b, dir)
-		// The XML variant measures the pure re-parse cost: snapshot
-		// reads AND write-behind repair are both off, so neither
-		// benchmark pays for the other's disk traffic.
-		s.noSnapshot = xmlPath
-		pre, err := s.Preload("pa")
+		pre, err := reopen(b, dir).Preload("pa")
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = pre
 	}
-	return last
-}
-
-func BenchmarkColdPreloadSnapshot(b *testing.B) {
-	dir := seedDir(b, 32)
-	if _, err := reopen(b, dir).Snapshot("pa"); err != nil {
-		b.Fatal(err)
-	}
-	pre := benchColdPreload(b, dir, false)
-	if pre.FromXML != 0 {
-		b.Fatalf("snapshot preload fell back to XML for %d runs", pre.FromXML)
-	}
-}
-
-func BenchmarkColdPreloadXML(b *testing.B) {
-	dir := seedDir(b, 32)
-	pre := benchColdPreload(b, dir, true)
-	if pre.FromSnapshot != 0 {
-		b.Fatalf("XML preload served %d runs from snapshots", pre.FromSnapshot)
+	if last.FromXML != 0 {
+		b.Fatalf("snapshot preload fell back to XML for %d runs", last.FromXML)
 	}
 }

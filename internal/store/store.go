@@ -49,14 +49,9 @@ type Store struct {
 
 	snapsMu sync.Mutex
 	snaps   map[string]*snapState // per-spec snapshot manifests
-	// noSnapshot disables the snapshot layer entirely (reads and
-	// write-behind) — the pure-XML configuration the cold-start
-	// benchmarks compare against.
-	noSnapshot bool
 
-	hookMu    sync.RWMutex
-	hooks     []func(specName, runName string)
-	bulkHooks []func(specName string, runNames []string)
+	hookMu sync.RWMutex
+	hooks  []func(specName string, runNames []string)
 
 	mapMu    sync.Mutex
 	mappings map[string]*evolve.SpecMapping // "a\x00b" → spec mapping
@@ -133,41 +128,23 @@ func ValidateName(name string) error {
 
 func validName(name string) error { return ValidateName(name) }
 
-// OnRunChange registers fn to be called after a run is imported,
-// overwritten or deleted, with the spec and run names. Hooks fire
-// after the store's own caches are updated, outside the store lock;
-// the HTTP service uses this to invalidate its diff-result cache.
-func (s *Store) OnRunChange(fn func(specName, runName string)) {
+// OnRunsChange registers fn to be called after runs are imported,
+// overwritten or deleted, with the spec name and every changed run
+// name. It fires exactly once per batch import, SaveRun or DeleteRun,
+// after the store's own caches are updated and outside the store
+// lock; the HTTP service uses it to invalidate its diff-result cache
+// and cohort matrices.
+func (s *Store) OnRunsChange(fn func(specName string, runNames []string)) {
 	s.hookMu.Lock()
 	s.hooks = append(s.hooks, fn)
 	s.hookMu.Unlock()
 }
 
-func (s *Store) notifyRunChange(specName, runName string) {
+func (s *Store) notifyRunsChange(specName string, runNames []string) {
 	s.hookMu.RLock()
 	hooks := s.hooks
 	s.hookMu.RUnlock()
 	for _, fn := range hooks {
-		fn(specName, runName)
-	}
-}
-
-// OnRunsBulkChange registers fn to be called once per bulk import
-// with every imported run name — the coalesced counterpart of
-// OnRunChange. A bulk import fires the bulk hooks exactly once per
-// spec and does NOT fire the per-run hooks; subscribers maintaining
-// per-run state should register both.
-func (s *Store) OnRunsBulkChange(fn func(specName string, runNames []string)) {
-	s.hookMu.Lock()
-	s.bulkHooks = append(s.bulkHooks, fn)
-	s.hookMu.Unlock()
-}
-
-func (s *Store) notifyBulkChange(specName string, runNames []string) {
-	s.hookMu.RLock()
-	bulk := s.bulkHooks
-	s.hookMu.RUnlock()
-	for _, fn := range bulk {
 		fn(specName, runNames)
 	}
 }
@@ -261,7 +238,12 @@ func (s *Store) ListSpecs() ([]string, error) {
 
 // SaveRun stores a run under the named specification. The run must
 // belong to the stored specification object (load it via LoadSpec
-// before executing or deriving runs).
+// before executing or deriving runs). The run is encoded as XML,
+// decoded back from exactly those bytes (so the parsed-run cache only
+// ever holds what a fresh parse of the stored XML yields) and
+// committed through ImportParsed: like every other write, it is
+// snapshotted, attested in the ledger and fsynced before SaveRun
+// returns.
 func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 	if err := validName(specName); err != nil {
 		return err
@@ -280,19 +262,12 @@ func (s *Store) SaveRun(specName, runName string, r *wfrun.Run) error {
 	if err := wfxml.EncodeRun(&buf, r, runName); err != nil {
 		return err
 	}
-	if err := s.be.WriteFile(runXMLKey(specName, runName), buf.Bytes()); err != nil {
-		return fmt.Errorf("store: %w", err)
+	parsed, err := wfxml.DecodeRun(bytes.NewReader(buf.Bytes()), sp)
+	if err != nil {
+		return fmt.Errorf("store: run %q does not round-trip through XML: %w", runName, err)
 	}
-	// Evict rather than cache the caller's object: the cache must only
-	// ever serve what a fresh parse of the stored XML would produce.
-	// The snapshot entry goes with it — the next load re-parses the new
-	// XML and repairs the snapshot write-behind.
-	s.mu.Lock()
-	delete(s.runs, runKey(specName, runName))
-	s.mu.Unlock()
-	s.dropRunSnapshot(specName, runName)
-	s.notifyRunChange(specName, runName)
-	return nil
+	_, err = s.ImportParsed(specName, []ParsedRun{{Name: runName, XML: buf.Bytes(), Run: parsed}})
+	return err
 }
 
 // LoadRun loads a stored run, deriving its annotated tree against the
@@ -325,25 +300,25 @@ func (s *Store) LoadRun(specName, runName string) (*wfrun.Run, error) {
 	if r, ok := s.loadRunSnapshot(specName, runName, sp); ok {
 		return s.cacheRun(specName, runName, r), nil
 	}
-	fp, fpErr := s.xmlFingerprint(specName, runName)
-	r, err := s.loadRunXML(specName, runName, sp)
+	r, sha, err := s.loadRunXML(specName, runName, sp)
 	if err != nil {
 		return nil, err
 	}
-	if fpErr == nil {
-		_ = s.writeRunSnapshot(specName, runName, r, fp) // best-effort repair
-	}
+	_ = s.writeRunSnapshot(specName, runName, r, sha) // best-effort repair
 	return s.cacheRun(specName, runName, r), nil
 }
 
 // loadRunXML parses a run's authoritative XML document and derives its
 // tree — the slow path behind the run cache and the snapshot layer.
-func (s *Store) loadRunXML(specName, runName string, sp *spec.Spec) (*wfrun.Run, error) {
+// It also returns the digest of exactly the bytes it parsed, which a
+// snapshot of the result must record.
+func (s *Store) loadRunXML(specName, runName string, sp *spec.Spec) (*wfrun.Run, string, error) {
 	data, err := s.be.ReadFile(runXMLKey(specName, runName))
 	if err != nil {
-		return nil, fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, err)
+		return nil, "", fmt.Errorf("store: unknown run %q of %q: %w", runName, specName, err)
 	}
-	return wfxml.DecodeRun(bytes.NewReader(data), sp)
+	r, err := wfxml.DecodeRun(bytes.NewReader(data), sp)
+	return r, xmlDigest(data), err
 }
 
 // cacheRun publishes a parsed run, keeping the first copy if another
@@ -397,7 +372,7 @@ func (s *Store) DeleteRun(specName, runName string) error {
 	delete(s.runs, runKey(specName, runName))
 	s.mu.Unlock()
 	s.dropRunSnapshot(specName, runName)
-	s.notifyRunChange(specName, runName)
+	s.notifyRunsChange(specName, []string{runName})
 	return nil
 }
 

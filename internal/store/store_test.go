@@ -2,6 +2,7 @@ package store
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -213,8 +214,8 @@ func TestPathTraversalNames(t *testing.T) {
 	}
 }
 
-// TestRunChangeHooks verifies OnRunChange fires on both import and
-// delete with the right names.
+// TestRunChangeHooks verifies OnRunsChange fires once on both import
+// and delete with the right names.
 func TestRunChangeHooks(t *testing.T) {
 	s := openStore(t)
 	pa, _ := gen.Catalog("PA")
@@ -228,9 +229,9 @@ func TestRunChangeHooks(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var events []string
-	s.OnRunChange(func(spec, run string) {
+	s.OnRunsChange(func(spec string, runs []string) {
 		mu.Lock()
-		events = append(events, spec+"/"+run)
+		events = append(events, spec+"/"+strings.Join(runs, ","))
 		mu.Unlock()
 	})
 	if err := s.SaveRun("pa", "x", r); err != nil {
